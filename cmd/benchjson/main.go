@@ -4,14 +4,17 @@
 //
 // Convert (reads stdin or -in, writes -out or stdout):
 //
-//	go test -bench=. ./internal/dse/ | benchjson -out BENCH_dse.json
+//	go test -bench=. ./internal/dse/ | benchjson -out BENCH_ci.json
 //
 // Compare (exits non-zero when any benchmark present in both files got
 // slower by more than -threshold times the baseline ns/op, or grew its
 // allocs/op past the same threshold when both sides carry the metric —
 // -benchmem runs record it automatically):
 //
-//	benchjson -compare BENCH_baseline.json BENCH_dse.json -threshold 1.30
+//	benchjson -compare -threshold 1.30 BENCH_baseline.json BENCH_ci.json
+//
+// BENCH_baseline.json is the one committed ledger. Flags must precede the
+// two files: Go's flag parsing stops at the first positional argument.
 //
 // A zero-alloc baseline is gated strictly: any new allocation regresses.
 // Benchmarks only present on one side are reported but never fail the

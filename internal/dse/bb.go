@@ -25,7 +25,7 @@ type BBOptions struct {
 	// The front is unchanged: only strictly-dominated points are skipped.
 	DominancePrune bool
 	// DisableFitPrune turns off the monotone infeasibility bound, pricing
-	// every partition like the flat engines (for measurement).
+	// every partition like ExploreAll (for measurement).
 	DisableFitPrune bool
 	// Symmetry selects the interchangeable-PRM collapse (see SymmetryMode).
 	// The default, SymmetryAuto, canonicalizes whenever two PRMs share a
@@ -59,8 +59,8 @@ type BBStats struct {
 	// Classes is the number of distinct PRM requirement signatures.
 	Classes int
 	// GroupPricings counts EstimateShared-equivalent group pricings — the
-	// engine's real work unit. The flat engines price (or look up) every
-	// group of every partition; prefix sharing prices each tree edge once.
+	// engine's real work unit. ExploreAll prices every group of every
+	// partition; prefix sharing prices each tree edge once.
 	GroupPricings int64
 	// Subtrees is the number of parallel subtree jobs the run split into.
 	Subtrees int
@@ -68,8 +68,12 @@ type BBStats struct {
 	SplitDepth int
 	// FrontSize is the final Pareto-front size (Pareto mode).
 	FrontSize int
-	// MaxResident is the peak number of design points held by the engine at
-	// any instant — O(front), where the flat engines hold O(Bell(n)).
+	// MaxResident is the peak number of design points the engine holds —
+	// O(front), where ExploreAll holds O(Bell(n)). It is the peak of the
+	// sequential schedule (subtree jobs in enumeration order, each job's
+	// front resident until the final merge), so it is the same at any
+	// worker count; a live count would depend on how concurrent jobs
+	// interleave.
 	MaxResident int64
 	// MemoHits / MemoMisses count group-pricing memo lookups (0 with MemoOff
 	// or when every signature is distinct). Every tree edge does exactly one
@@ -120,24 +124,14 @@ type bbRun struct {
 	visit   func(DesignPoint) bool
 	visitMu sync.Mutex
 
-	evaluated   atomic.Int64
-	prunedFit   atomic.Int64
-	prunedDom   atomic.Int64
-	collapsed   atomic.Int64
-	pricings    atomic.Int64
-	resident    atomic.Int64
-	maxResident atomic.Int64
-}
-
-// residentAdd tracks the engine's live design-point count and its peak.
-func (r *bbRun) residentAdd(d int64) {
-	now := r.resident.Add(d)
-	for {
-		peak := r.maxResident.Load()
-		if now <= peak || r.maxResident.CompareAndSwap(peak, now) {
-			return
-		}
-	}
+	evaluated atomic.Int64
+	prunedFit atomic.Int64
+	prunedDom atomic.Int64
+	collapsed atomic.Int64
+	pricings  atomic.Int64
+	// frontPeaks holds each subtree job's peak front size, indexed by job
+	// (each job writes only its own slot).
+	frontPeaks []int
 }
 
 // bbState is one worker's DFS state over a subtree. Pricing is incremental
@@ -151,7 +145,7 @@ type bbState struct {
 	rgs     []int
 	members [][]int
 	// evals/placed are the priced-group stack, valid for groups 0..k-1 when
-	// firstBad < 0, else for groups 0..firstBad (mirroring evaluate(), which
+	// firstBad < 0, else for groups 0..firstBad (mirroring Evaluate, which
 	// stops pricing at the first infeasible group).
 	evals    []groupEval
 	placed   []floorplan.Region
@@ -169,15 +163,16 @@ type bbState struct {
 	pendLabel int
 	pendClass int
 
-	front *ParetoFront
-	seq   uint64
-	nodes int
+	front     *ParetoFront
+	frontPeak int
+	seq       uint64
+	nodes     int
 
 	// Dominance-threshold cache: dominanceThreshold depends only on the front
 	// contents (version) and the node's (reconfig, minRU) bounds, which repeat
 	// across huge stretches of the walk, so the last computed threshold is
 	// kept here and reused across nodes until any input changes. Prune
-	// decisions stay bit-identical to calling DominatedBound per edge.
+	// decisions stay bit-identical to recomputing it per edge.
 	domT     int
 	domVer   uint64
 	domRec   time.Duration
@@ -203,7 +198,7 @@ type bbState struct {
 }
 
 // reprice re-derives the priced-group stack from group `from` on, stopping
-// at the first infeasible group exactly like evaluate() does.
+// at the first infeasible group exactly like Evaluate does.
 func (s *bbState) reprice(from int) {
 	// Keep the stacks sized to the group count even when an infeasible
 	// prefix makes pricing moot: rec's save/restore slices them at group
@@ -319,11 +314,8 @@ func (s *bbState) leaf() bool {
 		// dominance reads only the objectives, so the front is unchanged.
 		if dp.Feasible && !s.front.Dominated(&dp) {
 			dp.Groups = copyGroups(s.members)
-			before := s.front.Len()
 			s.front.Add(dp, seq)
-			if d := int64(s.front.Len() - before); d != 0 {
-				r.residentAdd(d)
-			}
+			s.frontPeak = max(s.frontPeak, s.front.Len())
 		}
 		return true
 	}
@@ -383,7 +375,7 @@ func (s *bbState) rec(i int, tilesLB, bytesLB int, minRUub float64) bool {
 	// it joins, so they are hoisted out of the child loop — and the dominance
 	// bound collapses to one cached tiles threshold per front version (see
 	// dominanceThreshold), recomputed only when a leaf below actually changed
-	// the front. The prune decisions are identical to calling DominatedBound
+	// the front. The prune decisions are identical to recomputing the bound
 	// on every edge.
 	cbLB := bytesLB
 	if eb.minBytes > cbLB {
@@ -541,6 +533,9 @@ func (r *bbRun) runJob(j bbJob, fronts []*ParetoFront, l1 *memoL1) {
 		r.prunedDom.Add(s.prunedDom)
 		r.collapsed.Add(s.collapsed)
 		r.pricings.Add(s.pricings)
+		if r.pareto {
+			r.frontPeaks[j.idx] = s.frontPeak
+		}
 		if r.memo != nil {
 			r.memo.stats.bulk(j.idx, s.memoHits, s.memoMisses, s.memoEntries)
 		}
@@ -726,6 +721,9 @@ func (e *Explorer) exploreBB(ctx context.Context, prms []PRM, opts BBOptions, pa
 
 	start := time.Now()
 	fronts := make([]*ParetoFront, len(jobs))
+	if pareto {
+		run.frontPeaks = make([]int, len(jobs))
+	}
 	jobCh := make(chan int, len(jobs))
 	for i := range jobs {
 		jobCh <- i
@@ -768,14 +766,25 @@ func (e *Explorer) exploreBB(ctx context.Context, prms []PRM, opts BBOptions, pa
 		return nil, stats, err
 	}
 
+	// Resident design points in the sequential schedule: every finished
+	// job's front stays resident until the merge folds it into the global
+	// front.
 	global := &ParetoFront{}
+	var resident, maxResident int64
+	for j, f := range fronts {
+		if f != nil {
+			maxResident = max(maxResident, resident+int64(run.frontPeaks[j]))
+			resident += int64(f.Len())
+		}
+	}
 	for _, f := range fronts {
 		if f == nil {
 			continue
 		}
 		before := global.Len()
 		global.Merge(f)
-		run.residentAdd(int64(global.Len()-before) - int64(f.Len()))
+		resident += int64(global.Len()-before) - int64(f.Len())
+		maxResident = max(maxResident, resident)
 	}
 
 	stats = BBStats{
@@ -789,7 +798,7 @@ func (e *Explorer) exploreBB(ctx context.Context, prms []PRM, opts BBOptions, pa
 		Subtrees:          len(jobs),
 		SplitDepth:        k,
 		FrontSize:         global.Len(),
-		MaxResident:       run.maxResident.Load(),
+		MaxResident:       maxResident,
 	}
 	if run.memo != nil {
 		stats.MemoHits, stats.MemoMisses, stats.MemoEntries = run.memo.stats.snapshot()
@@ -799,7 +808,7 @@ func (e *Explorer) exploreBB(ctx context.Context, prms []PRM, opts BBOptions, pa
 		points = global.Points()
 		if sym && len(points) > 0 {
 			// Rehydrate the representative front: the engine only priced the
-			// lex-least member of each fiber, but the flat front contains
+			// lex-least member of each fiber, but the full front contains
 			// every member of each surviving fiber (equal objectives are
 			// never dominated away), in full-space enumeration order.
 			points = expandFront(&ct, run.ext, points)
@@ -862,11 +871,14 @@ func (e *Explorer) ExploreParetoBB(ctx context.Context, prms []PRM, opts BBOptio
 	return front, stats, nil
 }
 
-// ExplorePareto is the convenience entry point: branch-and-bound with
-// default parallelism and both bounds enabled.
-func (e *Explorer) ExplorePareto(ctx context.Context, prms []PRM) ([]DesignPoint, error) {
-	front, _, err := e.ExploreParetoBB(ctx, prms, BBOptions{DominancePrune: true})
-	return front, err
+// copyGroups deep-copies a partition's groups so a design point can outlive
+// the walk state they were read from.
+func copyGroups(groups [][]int) [][]int {
+	out := make([][]int, len(groups))
+	for i, g := range groups {
+		out[i] = append([]int(nil), g...)
+	}
+	return out
 }
 
 // maxNeed takes the per-kind maximum of two window lower bounds.

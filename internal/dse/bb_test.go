@@ -2,10 +2,14 @@ package dse
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/icap"
 )
@@ -194,17 +198,195 @@ func TestExploreBBCancel(t *testing.T) {
 	}
 }
 
-// TestExplorePareto covers the convenience wrapper against the flat front.
-func TestExplorePareto(t *testing.T) {
+// TestExploreParetoBBPaperPRMs: the paper's three PRMs produce the flat
+// oracle's front through the default options cmd/dse and costd use.
+func TestExploreParetoBBPaperPRMs(t *testing.T) {
 	e := explorer(t, "XC6VLX75T")
 	prms := paperPRMs(t, "XC6VLX75T")
 	want := Pareto(e.ExploreAll(prms))
-	got, err := e.ExplorePareto(context.Background(), prms)
+	got, _, err := e.ExploreParetoBB(context.Background(), prms, BBOptions{DominancePrune: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("ExplorePareto = %+v, want %+v", got, want)
+		t.Errorf("ExploreParetoBB = %+v, want %+v", got, want)
+	}
+}
+
+// TestExploreBBEmpty: no PRMs yields no front, no points and no error.
+func TestExploreBBEmpty(t *testing.T) {
+	e := explorer(t, "XC6VLX75T")
+	front, _, err := e.ExploreParetoBB(context.Background(), nil, BBOptions{})
+	if err != nil || front != nil {
+		t.Errorf("empty exploration = (%v, %v), want (nil, nil)", front, err)
+	}
+	stats, err := e.ExploreBB(context.Background(), nil, BBOptions{}, func(DesignPoint) bool {
+		t.Error("visit called for an empty PRM set")
+		return true
+	})
+	if err != nil || stats.Partitions != 0 {
+		t.Errorf("empty callback exploration = (%+v, %v), want zero stats and no error", stats, err)
+	}
+}
+
+// waitForGoroutines polls until the goroutine count drops back to at most
+// base (with a little slack for runtime helpers), failing after the
+// deadline.
+func waitForGoroutines(t *testing.T, base int, deadline time.Duration) {
+	t.Helper()
+	const slack = 2
+	end := time.Now().Add(deadline)
+	for {
+		if runtime.NumGoroutine() <= base+slack {
+			return
+		}
+		if time.Now().After(end) {
+			buf := make([]byte, 1<<16)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("goroutines did not return to baseline %d (now %d):\n%s",
+				base, runtime.NumGoroutine(), buf[:n])
+		}
+		runtime.Gosched()
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestExploreBBNoGoroutineLeakOnCancel proves the subtree worker pool exits
+// promptly when the context is cancelled in the middle of a walk: the cancel
+// fires from inside the visit callback once points are streaming, so every
+// worker is deep in a subtree, and each must unwind and return.
+func TestExploreBBNoGoroutineLeakOnCancel(t *testing.T) {
+	e := explorer(t, "XC6VLX240T")
+	// Bell(11) = 678570 unpruned partitions: far more than the walk can
+	// price before the cancel lands.
+	prms := SyntheticPRMs(11)
+	base := runtime.NumGoroutine()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var seen atomic.Int64
+	errc := make(chan error, 1)
+	go func() {
+		_, err := e.ExploreBB(ctx, prms, BBOptions{Workers: 4, DisableFitPrune: true}, func(DesignPoint) bool {
+			if seen.Add(1) == 100 {
+				cancel()
+			}
+			return true
+		})
+		errc <- err
+	}()
+
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("mid-walk cancel returned %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("exploration did not return after cancel")
+	}
+	if got := seen.Load(); got >= int64(bellNumber(len(prms))) {
+		t.Errorf("visited %d points: the cancel did not stop the walk", got)
+	}
+	waitForGoroutines(t, base, 5*time.Second)
+}
+
+// TestExploreParetoBBNoGoroutineLeakOnCancel: the Pareto entry point has no
+// callback to cancel from, so the cancel fires once its workers are
+// running; the run returns the context's error, no front, and no worker
+// left behind, long before the full walk could have finished.
+func TestExploreParetoBBNoGoroutineLeakOnCancel(t *testing.T) {
+	e := explorer(t, "XC6VLX240T")
+	// Bell(13) ≈ 27.6M partitions with every shortcut off: the full walk
+	// takes far longer than the 10 s budget below, so only a prompt cancel
+	// passes.
+	prms := SyntheticPRMs(13)
+	opts := BBOptions{Workers: 4, DisableFitPrune: true, Symmetry: SymmetryOff, Memo: MemoOff}
+	base := runtime.NumGoroutine()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	type result struct {
+		front []DesignPoint
+		err   error
+	}
+	resc := make(chan result, 1)
+	go func() {
+		front, _, err := e.ExploreParetoBB(ctx, prms, opts)
+		resc <- result{front, err}
+	}()
+	for end := time.Now().Add(10 * time.Second); metWorkersActive.Value() == 0 && time.Now().Before(end); {
+		time.Sleep(100 * time.Microsecond)
+	}
+	cancel()
+
+	select {
+	case r := <-resc:
+		if !errors.Is(r.err, context.Canceled) {
+			t.Fatalf("mid-walk cancel returned %v, want context.Canceled", r.err)
+		}
+		if r.front != nil {
+			t.Errorf("cancelled exploration returned %d front points", len(r.front))
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("exploration did not return after cancel")
+	}
+	waitForGoroutines(t, base, 5*time.Second)
+}
+
+// TestExploreBBNoGoroutineLeakOnCompletion: the happy path leaves no
+// workers behind either.
+func TestExploreBBNoGoroutineLeakOnCompletion(t *testing.T) {
+	e := explorer(t, "XC6VLX75T")
+	base := runtime.NumGoroutine()
+	if _, _, err := e.ExploreParetoBB(context.Background(), SyntheticPRMs(5), BBOptions{Workers: 4}); err != nil {
+		t.Fatal(err)
+	}
+	waitForGoroutines(t, base, 5*time.Second)
+}
+
+// TestParetoOfStreamedPointsMatchesBB is the streamed-explore path: points
+// from a multi-worker ExploreBB arrive in no particular order, yet
+// ExpandSymmetric(Pareto(points)) must equal the ExploreParetoBB front
+// element for element, exact objective ties included. Pareto breaks those
+// ties by partition rank, not by arrival order; each collected set is also
+// fed reversed, so a tie order that leaks the input order fails
+// deterministically rather than only under an unlucky schedule.
+func TestParetoOfStreamedPointsMatchesBB(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	opts := BBOptions{Workers: 4, DominancePrune: true}
+	for _, devName := range []string{"XC6VLX75T", "XC6VLX240T"} {
+		e := explorer(t, devName)
+		for trial := 0; trial < 12; trial++ {
+			n := 6 + rng.Intn(3)
+			prms := randomPRMs(rng, n)
+			switch trial % 3 {
+			case 1:
+				prms = SyntheticPRMs(n)
+			case 2:
+				prms = DuplicatePRMs(n, 2+rng.Intn(2))
+			}
+			want, _, err := e.ExploreParetoBB(context.Background(), prms, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var points []DesignPoint
+			if _, err := e.ExploreBB(context.Background(), prms, opts, func(dp DesignPoint) bool {
+				points = append(points, dp)
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			reversed := make([]DesignPoint, len(points))
+			for i, p := range points {
+				reversed[len(points)-1-i] = p
+			}
+			for _, in := range [][]DesignPoint{points, reversed} {
+				if got := ExpandSymmetric(prms, Pareto(in)); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s trial %d n=%d: streamed front differs from ExploreParetoBB\n got %+v\nwant %+v",
+						devName, trial, n, got, want)
+				}
+			}
+		}
 	}
 }
 

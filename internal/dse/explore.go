@@ -2,7 +2,6 @@ package dse
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -47,65 +46,17 @@ type DesignPoint struct {
 type Explorer struct {
 	Device    *device.Device
 	Estimator icap.Estimator
-
-	// stats counts group-cache lookups across every ExploreAllParallel call
-	// on this Explorer, striped by cache shard; see explorerStats.
-	stats explorerStats
 }
 
-// CacheStats returns the cumulative group-cache hit and miss counts from
-// this Explorer's memoized explorations. The pair is a consistent snapshot:
-// all stat stripes are read under a single epoch, so hits+misses equals the
-// exact number of lookups completed at that instant even while an
-// exploration is running.
-func (e *Explorer) CacheStats() (hits, misses int64) {
-	return e.stats.snapshot()
-}
-
-// Evaluate prices one partitioning with the cost models.
+// Evaluate prices one partitioning with the cost models. Groups are priced
+// in order; each group's PRR must avoid the regions placed for the groups
+// before it.
 func (e *Explorer) Evaluate(prms []PRM, groups [][]int) DesignPoint {
-	return e.evaluate(prms, groups, nil, nil)
-}
-
-// evaluate prices one partitioning, consulting and filling cache (when
-// non-nil) for per-group results; classOf is the signature-class map the
-// cache keys encode members through (required when cache is non-nil, so
-// interchangeable PRMs share entries). Groups are priced in order; each
-// group's PRR must avoid the regions placed for the groups before it.
-func (e *Explorer) evaluate(prms []PRM, groups [][]int, cache *groupCache, classOf []int) DesignPoint {
 	dp := DesignPoint{Groups: groups, Feasible: true, MinRU: 100}
 	bit := core.NewBitstreamModel(e.Device.Params)
-
-	// Registry counters are batched per partition (two atomic adds at exit)
-	// so the per-lookup cost stays at one striped stat update.
-	var hits, misses int64
-	defer func() {
-		metCacheHits.Add(hits)
-		metCacheMisses.Add(misses)
-	}()
-
 	placed := make([]floorplan.Region, 0, len(groups))
-	var keyBuf []byte
-	var regScratch []floorplan.Region
 	for _, g := range groups {
-		var ev groupEval
-		if cache != nil {
-			keyBuf, regScratch = groupKey(keyBuf, g, classOf, placed, regScratch)
-			key := keyBuf
-			shard := cache.shardIndex(key)
-			var ok bool
-			if ev, ok = cache.get(shard, key); ok {
-				e.stats.add(shard, true)
-				hits++
-			} else {
-				e.stats.add(shard, false)
-				misses++
-				ev = e.priceGroup(prms, g, placed, bit)
-				cache.put(shard, key, ev)
-			}
-		} else {
-			ev = e.priceGroup(prms, g, placed, bit)
-		}
+		ev := e.priceGroup(prms, g, placed, bit)
 		if !ev.feasible {
 			dp.Feasible = false
 			dp.Infeasibility = ev.errMsg
@@ -123,6 +74,18 @@ func (e *Explorer) evaluate(prms []PRM, groups [][]int, cache *groupCache, class
 	}
 	dp.WorstReconfig = e.Estimator.Estimate(dp.MaxBitstreamBytes)
 	return dp
+}
+
+// groupEval is the outcome of pricing one PRM group against an avoid-set:
+// everything a design point needs from core.PRRModel.EstimateShared plus
+// core.BitstreamModel.SizeBytes.
+type groupEval struct {
+	feasible bool
+	errMsg   string
+	region   floorplan.Region
+	tiles    int
+	bytes    int
+	minCLB   float64
 }
 
 // priceGroup sizes one shared PRR for the PRM group against the already-
@@ -153,9 +116,9 @@ func (e *Explorer) priceGroup(prms []PRM, g []int, placed []floorplan.Region, bi
 }
 
 // ExploreAll enumerates every set partition of the PRMs (Bell(n) points; n
-// is small in PR floorplanning practice) and evaluates each sequentially.
-// It is the uncached single-threaded baseline; ExploreAllParallel produces
-// the identical point list using all cores and the group cache.
+// is small in PR floorplanning practice) and evaluates each sequentially, in
+// enumeration order. It is the uncached oracle the branch-and-bound engine is
+// tested against, and the full point table for small n.
 func (e *Explorer) ExploreAll(prms []PRM) []DesignPoint {
 	var points []DesignPoint
 	forEachPartitionRGS(len(prms), func(_ int, rgs []int) bool {
@@ -206,6 +169,25 @@ func forEachPartitionRGS(n int, visit func(index int, rgs []int) bool) {
 	rec(0, -1)
 }
 
+// bellNumber returns Bell(n), the number of set partitions of n elements,
+// via the Bell triangle. Exact in int64 range through n = 25; enumeration
+// is intractable long before that.
+func bellNumber(n int) int {
+	if n == 0 {
+		return 1
+	}
+	row := []int{1}
+	for i := 1; i < n; i++ {
+		next := make([]int, len(row)+1)
+		next[0] = row[len(row)-1]
+		for j := range row {
+			next[j+1] = next[j] + row[j]
+		}
+		row = next
+	}
+	return row[len(row)-1]
+}
+
 // decodeGroups converts a restricted growth string into freshly allocated
 // groups, ordered by first appearance with members ascending. All groups
 // share one backing array sized up front, so the decode costs three
@@ -238,44 +220,66 @@ func decodeGroups(rgs []int) [][]int {
 // WorstReconfig, -MinRU): smaller area, faster worst-case reconfiguration
 // and lower fragmentation. The front is sorted by TotalTiles with
 // deterministic tie-breaks (WorstReconfig ascending, then MinRU descending,
-// then input order), so output order is stable across runs.
-//
-// The filter is incremental O(n·front) rather than the all-pairs O(n²):
-// after sorting by the dominance objectives, a point can only be dominated
-// by a point already on the front, never by a later one.
+// then the partition's enumeration rank), so the output depends only on the
+// set of points, not on the order they arrive in: ExploreAll's points, which
+// are already in rank order, and the same points streamed from concurrent
+// subtree workers yield the identical front. The filter is the streaming
+// ParetoFront, O(n·front).
 func Pareto(points []DesignPoint) []DesignPoint {
-	feas := make([]DesignPoint, 0, len(points))
+	n := 0
 	for _, p := range points {
-		if p.Feasible {
-			feas = append(feas, p)
-		}
-	}
-	sort.SliceStable(feas, func(i, j int) bool {
-		a, b := feas[i], feas[j]
-		if a.TotalTiles != b.TotalTiles {
-			return a.TotalTiles < b.TotalTiles
-		}
-		if a.WorstReconfig != b.WorstReconfig {
-			return a.WorstReconfig < b.WorstReconfig
-		}
-		return a.MinRU > b.MinRU
-	})
-	var front []DesignPoint
-	for _, p := range feas {
-		dominated := false
-		for i := range front {
-			q := &front[i]
-			if q.TotalTiles <= p.TotalTiles && q.WorstReconfig <= p.WorstReconfig && q.MinRU >= p.MinRU &&
-				(q.TotalTiles < p.TotalTiles || q.WorstReconfig < p.WorstReconfig || q.MinRU > p.MinRU) {
-				dominated = true
-				break
+		for _, g := range p.Groups {
+			for _, m := range g {
+				n = max(n, m+1)
 			}
 		}
-		if !dominated {
-			front = append(front, p)
+	}
+	ext := newExtTable(n)
+	rgs := make([]int, n)
+	var label []int
+	var f ParetoFront
+	for _, p := range points {
+		if p.Feasible {
+			var rank uint64
+			rank, label = partitionRank(ext, p.Groups, rgs, label)
+			f.Add(p, rank)
 		}
 	}
-	return front
+	return f.Points()
+}
+
+// partitionRank returns the position of the set partition that groups
+// describes in forEachPartitionRGS's enumeration of len(rgs) elements (see
+// rgsRank). Neither group nor member order matters: labels are assigned by
+// first appearance in element order, as decodeGroups emits them, and an
+// element no group names counts as a singleton. rgs is caller-owned scratch;
+// label is grown as needed and returned for reuse.
+func partitionRank(ext extTable, groups [][]int, rgs, label []int) (uint64, []int) {
+	for i := range rgs {
+		rgs[i] = -1
+	}
+	label = label[:0]
+	for g, members := range groups {
+		label = append(label, -1)
+		for _, m := range members {
+			rgs[m] = g
+		}
+	}
+	next := 0
+	for i, g := range rgs {
+		switch {
+		case g < 0:
+			rgs[i] = next
+			next++
+		case label[g] < 0:
+			label[g] = next
+			rgs[i] = next
+			next++
+		default:
+			rgs[i] = label[g]
+		}
+	}
+	return rgsRank(ext, rgs), label
 }
 
 // Describe renders a design point's grouping like "{FIR,MIPS}{SDRAM}".

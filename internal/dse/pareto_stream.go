@@ -6,41 +6,38 @@ import (
 )
 
 // frontPoint pairs a feasible design point with its global enumeration
-// index, the final tie-break that makes the streaming front reproduce
-// Pareto()'s stable input-order exactly.
+// index, the final tie-break on exact objective ties.
 type frontPoint struct {
 	dp  DesignPoint
 	seq uint64
 }
 
-// ParetoFront is an online Pareto merger over the same dominance order
-// Pareto() filters by: smaller TotalTiles, smaller WorstReconfig, larger
-// MinRU. Points stream in one at a time (tagged with their position in the
-// sequential enumeration) and the front holds only the currently
-// non-dominated ones, so resident memory is O(front), not O(points seen).
-//
-// Points() is element-for-element identical to Pareto(all points added), in
-// the same deterministic order: the front is kept sorted by (TotalTiles,
-// WorstReconfig asc, MinRU desc, enumeration index), which is exactly
-// Pareto()'s stable sort.
+// ParetoFront is an online Pareto merger over the exploration objectives:
+// smaller TotalTiles, smaller WorstReconfig, larger MinRU. Points stream in
+// one at a time (tagged with their position in the sequential enumeration)
+// and the front holds only the currently non-dominated ones, so resident
+// memory is O(front), not O(points seen). The front is kept sorted by
+// (TotalTiles, WorstReconfig asc, MinRU desc, enumeration index), so
+// Points() does not depend on the order points arrive in; Pareto() is this
+// merger fed every feasible point.
 type ParetoFront struct {
 	pts []frontPoint
 	// version counts mutations (successful Adds). The branch-and-bound
 	// engine caches dominanceThreshold per (node, version) and recomputes
 	// only when the front actually changed, so its pruning decisions stay
-	// bit-identical to calling DominatedBound on every tree edge.
+	// bit-identical to recomputing the bound on every tree edge.
 	version uint64
 }
 
 // dominates reports whether a strictly-Pareto-dominates b on the three
-// exploration objectives (mirrors Pareto()'s filter).
+// exploration objectives.
 func dominates(a, b *DesignPoint) bool {
 	return a.TotalTiles <= b.TotalTiles && a.WorstReconfig <= b.WorstReconfig && a.MinRU >= b.MinRU &&
 		(a.TotalTiles < b.TotalTiles || a.WorstReconfig < b.WorstReconfig || a.MinRU > b.MinRU)
 }
 
-// frontLess orders front points the way Pareto() sorts its output, with the
-// enumeration index standing in for "input order" on exact objective ties.
+// frontLess orders front points by the objectives, with the enumeration
+// index breaking exact objective ties.
 func frontLess(a, b *frontPoint) bool {
 	if a.dp.TotalTiles != b.dp.TotalTiles {
 		return a.dp.TotalTiles < b.dp.TotalTiles
@@ -104,41 +101,21 @@ func (f *ParetoFront) Merge(o *ParetoFront) {
 	}
 }
 
-// DominatedBound reports whether some front point would dominate EVERY
-// design point whose objectives are bounded by tilesLB <= TotalTiles,
-// reconfigLB <= WorstReconfig and MinRU <= minRUub. The strictness test runs
-// against the bounds, so a true answer proves strict dominance of every
-// point in the box — the branch-and-bound engine may then discard the whole
-// subtree without changing the exact front (ties survive: a point equal to a
-// front point is never strictly inside the box's dominated region).
-func (f *ParetoFront) DominatedBound(tilesLB int, reconfigLB time.Duration, minRUub float64) bool {
-	for i := range f.pts {
-		q := &f.pts[i].dp
-		if q.TotalTiles > tilesLB {
-			// The front is sorted by TotalTiles ascending (frontLess), and a
-			// dominating point needs TotalTiles <= tilesLB, so nothing after
-			// this one can qualify. The engine calls this on every tree edge;
-			// the early exit answers most "not dominated" probes in one
-			// comparison.
-			return false
-		}
-		if q.WorstReconfig <= reconfigLB && q.MinRU >= minRUub &&
-			(q.TotalTiles < tilesLB || q.WorstReconfig < reconfigLB || q.MinRU > minRUub) {
-			return true
-		}
-	}
-	return false
-}
-
-// dominanceThreshold folds DominatedBound's scan, for fixed (reconfigLB,
-// minRUub), into a single tiles threshold T: DominatedBound(t, reconfigLB,
-// minRUub) is true iff t >= T. For each front point with q.WorstReconfig <=
-// reconfigLB and q.MinRU >= minRUub, a box with tilesLB >= q.TotalTiles is
-// dominated when one of those axes is strict, and tilesLB > q.TotalTiles
-// when both are ties (the tiles axis must then supply the strictness) —
-// so T is the minimum of q.TotalTiles (+1 on double ties) over qualifying
-// points, and maxInt when none qualify. The engine computes T once per tree
-// node per front version and compares each child's tiles bound against it.
+// dominanceThreshold answers the branch-and-bound engine's dominance bound.
+// For fixed (reconfigLB, minRUub) it returns the tiles threshold T such that
+// some front point strictly dominates EVERY design point in the box
+// tilesLB <= TotalTiles, reconfigLB <= WorstReconfig, MinRU <= minRUub
+// exactly when tilesLB >= T. The strictness test runs against the bounds, so
+// a subtree whose box lies past T can be discarded without changing the
+// exact front (ties survive: a point equal to a front point is never
+// strictly inside the box's dominated region). For each front point with
+// q.WorstReconfig <= reconfigLB and q.MinRU >= minRUub, a box with tilesLB
+// >= q.TotalTiles is dominated when one of those axes is strict, and tilesLB
+// > q.TotalTiles when both are ties (the tiles axis must then supply the
+// strictness) — so T is the minimum of q.TotalTiles (+1 on double ties) over
+// qualifying points, and maxInt when none qualify. The engine computes T
+// once per tree node per front version and compares each child's tiles
+// bound against it.
 func (f *ParetoFront) dominanceThreshold(reconfigLB time.Duration, minRUub float64) int {
 	const maxInt = int(^uint(0) >> 1)
 	t := maxInt
@@ -164,8 +141,8 @@ func (f *ParetoFront) dominanceThreshold(reconfigLB time.Duration, minRUub float
 // Len returns the current front size.
 func (f *ParetoFront) Len() int { return len(f.pts) }
 
-// Points returns the front in Pareto()'s deterministic output order. An
-// empty front returns nil, matching Pareto() on an all-infeasible input.
+// Points returns the front in its deterministic order, or nil when it is
+// empty.
 func (f *ParetoFront) Points() []DesignPoint {
 	if len(f.pts) == 0 {
 		return nil

@@ -157,3 +157,14 @@ func FuzzForEachPartitionRGS(f *testing.F) {
 		}
 	})
 }
+
+// TestBellNumber pins the Bell numbers that BBStats.Partitions and the
+// split-depth choice are computed from.
+func TestBellNumber(t *testing.T) {
+	want := []int{1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570}
+	for n, w := range want {
+		if got := bellNumber(n); got != w {
+			t.Errorf("Bell(%d) = %d, want %d", n, got, w)
+		}
+	}
+}

@@ -244,8 +244,10 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	})
 	if err == nil && ctx.Err() == nil {
 		// With the symmetry collapse active the stream carries only fiber
-		// representatives; the Done front is always the full expansion, so
-		// both explore modes report element-for-element identical fronts.
+		// representatives; the Done front is always the full expansion, and
+		// Pareto orders exact ties by partition rank rather than by the
+		// workers' arrival order, so both explore modes report
+		// element-for-element identical fronts.
 		front = dse.ExpandSymmetric(prms, dse.Pareto(points))
 		stats.FrontSize = len(front)
 	}

@@ -483,6 +483,60 @@ func TestExploreFrontOnly(t *testing.T) {
 	}
 }
 
+// TestExploreStreamFrontMatchesFrontOnly: the streamed Done front is the
+// front_only front, element for element, even with several engine workers
+// delivering points in arrival order. The six all-distinct PRMs give a
+// 15-point front with nine exact objective ties between distinct
+// partitions, and no symmetry collapse re-sorts them: their order must come
+// from the partitions themselves, not from which worker finished first.
+func TestExploreStreamFrontMatchesFrontOnly(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const prms = `[
+		{"req":{"lut_ff_pairs":1848,"luts":139,"ffs":1583,"dsps":3}},
+		{"req":{"lut_ff_pairs":1309,"luts":841,"ffs":1277}},
+		{"req":{"lut_ff_pairs":1561,"luts":1496,"ffs":1310,"dsps":3}},
+		{"req":{"lut_ff_pairs":1296,"luts":1177,"ffs":1054,"dsps":2}},
+		{"req":{"lut_ff_pairs":1489,"luts":736,"ffs":1246,"brams":2}},
+		{"req":{"lut_ff_pairs":1245,"luts":1123,"ffs":936,"brams":3}}]`
+	body := func(frontOnly bool) string {
+		return fmt.Sprintf(`{"device":"XC6VLX75T","front_only":%t,"options":{"workers":4},"prms":%s}`, frontOnly, prms)
+	}
+	doneOf := func(raw []byte) *api.ExploreDone {
+		t.Helper()
+		lines := bytes.Split(bytes.TrimSpace(raw), []byte("\n"))
+		var ev api.ExploreEvent
+		if err := json.Unmarshal(lines[len(lines)-1], &ev); err != nil || ev.Done == nil {
+			t.Fatalf("last line is not a done event: %q (%v)", lines[len(lines)-1], err)
+		}
+		return ev.Done
+	}
+
+	resp, raw := post(t, ts, "/v1/explore", body(true))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("front_only explore: status %d: %s", resp.StatusCode, raw)
+	}
+	want := doneOf(raw).Front
+	ties := 0
+	for i := 1; i < len(want); i++ {
+		a, b := want[i-1], want[i]
+		if a.TotalTiles == b.TotalTiles && a.WorstReconfigNS == b.WorstReconfigNS && a.MinRU == b.MinRU {
+			ties++
+		}
+	}
+	if ties == 0 {
+		t.Fatalf("front of %d points has no exact ties: the workload does not exercise tie order", len(want))
+	}
+	for run := 0; run < 5; run++ {
+		resp, raw := post(t, ts, "/v1/explore", body(false))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("streamed explore: status %d: %s", resp.StatusCode, raw)
+		}
+		if got := doneOf(raw).Front; !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: streamed done front differs from the front_only front\n got %+v\nwant %+v", run, got, want)
+		}
+	}
+}
+
 // TestExploreFrontCachedAcrossPermutations: front-only explorations go
 // through the response cache keyed on the canonicalized request, so a
 // permutation of a duplicate-heavy PRM list answers from the LRU without
